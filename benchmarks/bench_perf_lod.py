@@ -1,10 +1,10 @@
 """BENCH-PERF-LOD — columnar Linked-Open-Data tier timings.
 
-Times the three LOD hot paths on both execution tiers — the vectorized
+Times the four LOD hot paths on both execution tiers — the vectorized
 columnar tier (interned id arrays, ``searchsorted`` joins, blocked linking,
 direct-to-encoded column assembly) and the retained dict-index / pairwise
 reference tier (``select(..., force_row=True)``, ``_force_pairwise_link``,
-``tabulate_entities(..., force_row=True)``):
+``civic_lod_graph(..., force_row=True)``, ``tabulate_entities(..., force_row=True)``):
 
 ``select``
     A query session — five rounds of a four-query SPARQL-like batch — over
@@ -16,6 +16,14 @@ reference tier (``select(..., force_row=True)``, ``_force_pairwise_link``,
 ``linker``
     ``EntityLinker.link`` between two city registries of 2 500 resources
     each (5k entities total) with one fuzzy name rule.
+``publish``
+    ``civic_lod_graph`` of a dirty service-request source (duplicated
+    identifiers, missing cells) at about the same triple count, built
+    columnar — interned triple arrays straight from the encoded views —
+    against the one-``add``-per-triple reference (``force_row=True``).  The
+    identity check compares term tables (literal value types included),
+    all three orderings and their block tables.  Best of two runs, so the
+    first run warms the caches.
 ``tabulate``
     ``tabulate_entities`` of the 50k-triple reading graph into a dataset
     **through** its encoded views (every column's missing/codes/float view
@@ -24,7 +32,8 @@ reference tier (``select(..., force_row=True)``, ``_force_pairwise_link``,
     the snapshot is dropped before every run.
 
 Results — speedups plus bit-identity checks (bindings incl. row order, link
-sets and float-bit scores, tabulated cells and column order) — are written
+sets and float-bit scores, published snapshots, tabulated cells and column
+order) — are written
 to ``BENCH_perf_lod.json`` at the repository root.  The JSON also records a
 ``quick`` section at reduced sizes used by the CI perf guard:
 ``python benchmarks/bench_perf_lod.py --quick`` reruns it and fails when a
@@ -46,6 +55,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.datasets import service_requests
+from repro.datasets.civic import civic_lod_graph
 from repro.lod.graph import Graph
 from repro.lod.linker import EntityLinker, LinkRule
 from repro.lod.query import TriplePattern, Variable, select
@@ -73,7 +84,9 @@ QUICK_LINKER_PER_SIDE = 300
 QUICK_REGRESSION_FACTOR = 2.0
 #: Workloads the guard checks for speedup regressions (identity is always
 #: checked on all three).
-GUARDED_WORKLOADS = ("select", "linker", "tabulate")
+GUARDED_WORKLOADS = ("select", "linker", "publish", "tabulate")
+#: Published triples per source row of the dirty service-request source.
+TRIPLES_PER_SOURCE_ROW = 8.8
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_lod.json"
 
@@ -238,6 +251,20 @@ def _identical_encodings(a, b) -> bool:
     return True
 
 
+def _identical_snapshots(fast: Graph, slow: Graph) -> bool:
+    """Same term table (value types included), orderings and block tables."""
+    a, b = fast.store.columnar(), slow.store.columnar()
+    if a.terms != b.terms or [type(getattr(t, "value", t)) for t in a.terms] != [
+        type(getattr(t, "value", t)) for t in b.terms
+    ]:
+        return False
+    for index in ("spo", "pos", "osp"):
+        pairs = zip(a.order(index) + a._block_table(index), b.order(index) + b._block_table(index))
+        if not all(np.array_equal(x, y) for x, y in pairs):
+            return False
+    return True
+
+
 def _compare_paths(n_triples: int, linker_per_side: int, repeats: int = 1) -> dict:
     """Time every workload on the columnar vs reference tier and check identity."""
     results: dict[str, dict] = {}
@@ -276,6 +303,19 @@ def _compare_paths(n_triples: int, linker_per_side: int, repeats: int = 1) -> di
         "speedup": slow_s / fast_s if fast_s > 0 else float("inf"),
         "n_links": len(fast),
         "identical_to_row_path": _identical_links(fast, slow),
+    }
+
+    source = service_requests(n_rows=int(n_triples / TRIPLES_PER_SOURCE_ROW), dirty=True, seed=3)
+    fast, fast_s = _timed(lambda: civic_lod_graph(source, entity_class="ServiceRequest"), 2)
+    slow, slow_s = _timed(
+        lambda: civic_lod_graph(source, entity_class="ServiceRequest", force_row=True), 2
+    )
+    results["publish"] = {
+        "encoded_s": fast_s,
+        "row_s": slow_s,
+        "speedup": slow_s / fast_s if fast_s > 0 else float("inf"),
+        "n_triples": len(fast),
+        "identical_to_row_path": _identical_snapshots(fast, slow),
     }
 
     def encoded_tabulate():
@@ -339,7 +379,7 @@ def _print_results(results: dict) -> None:
                 ]
             )
     print_table(
-        "BENCH-PERF-LOD: select / linker / tabulate, columnar vs reference tier",
+        "BENCH-PERF-LOD: select / linker / publish / tabulate, columnar vs reference tier",
         ["workload", "encoded_s", "row_s", "speedup", "identical"],
         rows,
     )

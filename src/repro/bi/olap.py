@@ -183,7 +183,18 @@ class Cube:
         # Grand total: group by a constant pseudo-column.  Always a plain
         # Column — the dataset's own columns may be memory-mapped
         # StoredColumn views, which cannot be built from a value list.
-        working = self.dataset.add_column(Column("__all__", ["all"] * self.dataset.n_rows))
+        n_rows = self.dataset.n_rows
+        if self._force_row_olap or n_rows == 0:
+            working = self.dataset.add_column(Column("__all__", ["all"] * n_rows))
+        else:
+            # The same column built from its one distinct value, with its
+            # all-zero code view pre-seeded and the source's encoded views
+            # carried over, so nothing is re-encoded cell by cell.
+            constant = Column.from_distinct("__all__", ["all"], np.zeros(n_rows, dtype=np.intp))
+            working = self.dataset.add_column(constant)
+            encoded = encode_dataset(working)
+            encoded.adopt(encode_dataset(self.dataset))
+            encoded.seed_categorical("__all__", np.zeros(n_rows, dtype=np.int64), ["all"])
         result = group_by(working, ["__all__"], self._aggregations(), force_row=self._force_row_olap)
         return result.drop_columns(["__all__"]) if result.n_columns > 1 else result
 

@@ -42,6 +42,7 @@ from repro.tabular.encoded import encode_dataset
 #: Predicates that never become property columns (hoisted: every Namespace
 #: attribute access constructs and validates a fresh IRI).
 _STRUCTURAL_PREDICATES = (RDF.type, RDFS.label, OWL.sameAs)
+_RDF_TYPE = _STRUCTURAL_PREDICATES[0]
 
 
 def _object_to_cell(obj: Object):
@@ -53,6 +54,12 @@ def _object_to_cell(obj: Object):
     if isinstance(obj, BNode):
         return str(obj)
     return None
+
+
+def _label_text(term: Object) -> str | None:
+    """``Graph.label`` of a subject whose first ``rdfs:label`` object is ``term``."""
+    value = term.python_value() if isinstance(term, Literal) else term
+    return str(value) if value is not None else None
 
 
 def _column_name(predicate: IRI, graph: Graph) -> str:
@@ -103,28 +110,48 @@ def tabulate_entities(
     """
     if multivalued not in ("first", "count"):
         raise LODError(f"unknown multivalued policy {multivalued!r}")
-    subjects = graph.subjects_of_type(rdf_type)
-    if not subjects:
-        raise LODError(f"no instances of {rdf_type} in the graph")
-
-    # Merge owl:sameAs equivalents into their canonical (first-listed) subject.
-    merged_from: dict = {s: [s] for s in subjects}
-    same_as = _STRUCTURAL_PREDICATES[2]
-    if follow_same_as and graph.store.predicate_in_use(same_as):
-        canonical = set(subjects)
-        for subject in subjects:
-            for obj in graph.store.objects(subject, same_as):
-                if isinstance(obj, (IRI, BNode)) and obj not in canonical:
-                    merged_from[subject].append(obj)
-
-    if properties is None:
-        if force_row:
+    if force_row:
+        subjects = graph.subjects_of_type(rdf_type)
+        if not subjects:
+            raise LODError(f"no instances of {rdf_type} in the graph")
+        merged_from = _merge_same_as_rows(graph, subjects, follow_same_as)
+        if properties is None:
             properties = _discover_properties_rows(graph, subjects, merged_from, min_property_coverage)
-        else:
-            properties = _discover_properties_columnar(graph, subjects, merged_from, min_property_coverage)
+        names = _column_names(graph, properties)
+        return _tabulate_rows_reference(
+            graph, subjects, merged_from, properties, names, include_subject, multivalued, rdf_type
+        )
+
+    columnar = graph.store.columnar()
+    s_ids, _, o_ids = columnar.block("pos", _RDF_TYPE)
+    subject_ids = s_ids[o_ids == columnar.term_id(rdf_type)]
+    if not subject_ids.size:
+        raise LODError(f"no instances of {rdf_type} in the graph")
+    src_ids, src_row = _merge_same_as_columnar(columnar, subject_ids, follow_same_as)
+    if properties is None:
+        properties = _discover_properties_columnar(
+            columnar, src_ids, subject_ids.size, min_property_coverage
+        )
+    names = _column_names(graph, properties)
+
+    # The reference tier lets a property column literally named "subject" or
+    # "label" collide with the built-in row keys; keep that (odd) semantics
+    # by routing such tabulations through the reference.
+    if any(name in ("subject", "label") for name in names.values()):
+        subjects = [columnar.terms[i] for i in subject_ids.tolist()]
+        merged_from = _merge_same_as_rows(graph, subjects, follow_same_as)
+        return _tabulate_rows_reference(
+            graph, subjects, merged_from, properties, names, include_subject, multivalued, rdf_type
+        )
+    return _tabulate_encoded(
+        columnar, subject_ids, src_ids, src_row, properties, names, include_subject, multivalued, rdf_type
+    )
+
+
+def _column_names(graph: Graph, properties: Sequence[IRI] | None) -> dict[IRI, str]:
+    """Distinct column names for ``properties`` (``_2``, ``_3``… on collisions)."""
     if not properties:
         raise LODError("no properties found to tabulate")
-
     names: dict[IRI, str] = {}
     for predicate in properties:
         base = _column_name(predicate, graph)
@@ -134,18 +161,51 @@ def tabulate_entities(
             name = f"{base}_{suffix}"
             suffix += 1
         names[predicate] = name
+    return names
 
-    # The reference tier lets a property column literally named "subject" or
-    # "label" collide with the built-in row keys; keep that (odd) semantics
-    # by routing such tabulations through the reference.
-    collision = any(name in ("subject", "label") for name in names.values())
-    if force_row or collision:
-        return _tabulate_rows_reference(
-            graph, subjects, merged_from, properties, names, include_subject, multivalued, rdf_type
-        )
-    return _tabulate_encoded(
-        graph, subjects, merged_from, properties, names, include_subject, multivalued, rdf_type
-    )
+
+def _merge_same_as_rows(graph: Graph, subjects: Sequence, follow_same_as: bool) -> dict:
+    """Reference merge: each subject's sources, itself first, then its ``owl:sameAs`` equivalents."""
+    merged_from: dict = {s: [s] for s in subjects}
+    same_as = _STRUCTURAL_PREDICATES[2]
+    if follow_same_as and graph.store.predicate_in_use(same_as):
+        canonical = set(subjects)
+        for subject in subjects:
+            for obj in graph.store.objects(subject, same_as):
+                if isinstance(obj, (IRI, BNode)) and obj not in canonical:
+                    merged_from[subject].append(obj)
+    return merged_from
+
+
+def _merge_same_as_columnar(
+    columnar, subject_ids: np.ndarray, follow_same_as: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar merge: flattened ``(source id, owning row)`` arrays.
+
+    Rows keep their sources in :func:`_merge_same_as_rows` order — the
+    subject, then its non-literal, non-canonical ``owl:sameAs`` objects in
+    SPO order — so "first value wins" matches the reference tier.
+    """
+    rows = np.arange(subject_ids.size, dtype=np.intp)
+    if not follow_same_as:
+        return subject_ids, rows
+    s_arr, p_arr, o_arr = columnar.order("spo")
+    selected = np.flatnonzero(p_arr == columnar.term_id(_STRUCTURAL_PREDICATES[2]))
+    if not selected.size:
+        return subject_ids, rows
+    terms = columnar.terms
+    canonical = set(subject_ids.tolist())
+    extra: dict[int, list[int]] = {}
+    for s, o in zip(s_arr[selected].tolist(), o_arr[selected].tolist()):
+        if o not in canonical and not isinstance(terms[o], Literal):
+            extra.setdefault(s, []).append(o)
+    flat_src: list[int] = []
+    flat_row: list[int] = []
+    for row, sid in enumerate(subject_ids.tolist()):
+        sources = [sid] + extra.get(sid, [])
+        flat_src += sources
+        flat_row += [row] * len(sources)
+    return np.asarray(flat_src, dtype=np.int64), np.asarray(flat_row, dtype=np.intp)
 
 
 def _coverage_filter(
@@ -174,7 +234,7 @@ def _discover_properties_rows(
 
 
 def _discover_properties_columnar(
-    graph: Graph, subjects: Sequence, merged_from: dict, min_property_coverage: float
+    columnar, src_ids: np.ndarray, n_subjects: int, min_property_coverage: float
 ) -> list[IRI]:
     """Columnar discovery: coverage counts from the interned (subject, predicate) pairs.
 
@@ -183,15 +243,11 @@ def _discover_properties_columnar(
     source uses it, and the final ``sorted`` by ``(-count, str)`` is a total
     order, so the two tiers cannot disagree on order.
     """
-    columnar = graph.store.columnar()
-    n_terms = len(columnar.terms)
+    n_terms = columnar.n_terms
     s_arr, p_arr, _ = columnar.order("spo")
     if s_arr.size == 0:
         return []
-    source_occurrences = np.zeros(n_terms, dtype=np.int64)
-    for subject in subjects:
-        for source in merged_from[subject]:
-            source_occurrences[columnar.term_id(source)] += 1
+    source_occurrences = np.bincount(src_ids, minlength=n_terms)
     pairs = np.unique(s_arr * np.int64(n_terms) + p_arr)
     pair_subjects = pairs // n_terms
     pair_predicates = pairs % n_terms
@@ -204,7 +260,7 @@ def _discover_properties_columnar(
         for pid in np.flatnonzero(counts).tolist()
         if pid not in structural
     }
-    return _coverage_filter(discovered, len(subjects), min_property_coverage)
+    return _coverage_filter(discovered, n_subjects, min_property_coverage)
 
 
 def _tabulate_rows_reference(
@@ -243,9 +299,10 @@ def _tabulate_rows_reference(
 
 
 def _tabulate_encoded(
-    graph: Graph,
-    subjects: Sequence,
-    merged_from: dict,
+    columnar,
+    subject_ids: np.ndarray,
+    src_ids: np.ndarray,
+    src_row: np.ndarray,
     properties: Sequence[IRI],
     names: dict[IRI, str],
     include_subject: bool,
@@ -257,30 +314,24 @@ def _tabulate_encoded(
     For each property the SPO-ordered id columns yield, per subject, the
     first object and the object count in exactly the order the reference
     tier's ``objects()`` calls observe; ``owl:sameAs`` sources are resolved
-    through one flattened (row, source) table.  Distinct object terms are
-    converted to cells — and coerced by :meth:`Column.from_distinct` — once
-    per distinct value, and the per-cell distinct indices seed the dataset's
-    cached encoding (:func:`_seed_encoding`).
+    through one flattened (row, source) table.  Labels are the first
+    ``rdfs:label`` object per subject, read the same way.  Distinct object
+    terms are converted to cells — and coerced by
+    :meth:`Column.from_distinct` — once per distinct value, and the per-cell
+    distinct indices seed the dataset's cached encoding
+    (:func:`_seed_encoding`).
     """
-    columnar = graph.store.columnar()
     terms = columnar.terms
-    n_rows = len(subjects)
+    n_rows = subject_ids.size
     n_terms = len(terms)
     s_arr, p_arr, o_arr = columnar.order("spo")
 
-    # Flatten the merged sources into (source id, owning row) arrays; rows
-    # keep their sources in merged_from order so "first value wins" matches.
-    flat_src: list[int] = []
-    flat_row: list[int] = []
-    for row, subject in enumerate(subjects):
-        for source in merged_from[subject]:
-            flat_src.append(columnar.term_id(source))
-            flat_row.append(row)
-    src_ids = np.asarray(flat_src, dtype=np.int64)
-    src_row = np.asarray(flat_row, dtype=np.intp)
-
-    labels = [graph.label(subject) for subject in subjects]
-    has_any_label = any(label is not None for label in labels)
+    label_ids = columnar.first_object_ids(subject_ids, _STRUCTURAL_PREDICATES[1])
+    distinct_labels, label_inverse = np.unique(label_ids, return_inverse=True)
+    label_texts = [None if i < 0 else _label_text(terms[i]) for i in distinct_labels.tolist()]
+    label_spec = ("distinct", label_texts, label_inverse.reshape(-1))
+    first_label = label_texts[int(label_spec[2][0])]
+    has_any_label = any(label is not None for label in label_texts)
 
     # Replicate Dataset.from_rows' first-seen column order: "label" sits
     # right after "subject" when the first row carries one, and only appears
@@ -288,9 +339,9 @@ def _tabulate_encoded(
     # cell list or a ("distinct", cells, inverse) spec for Column.from_distinct.
     column_specs: dict[str, tuple] = {}
     if include_subject:
-        column_specs["subject"] = ("values", [str(subject) for subject in subjects])
-    if labels[0] is not None:
-        column_specs["label"] = ("values", labels)
+        column_specs["subject"] = ("values", [str(terms[i]) for i in subject_ids.tolist()])
+    if first_label is not None:
+        column_specs["label"] = label_spec
 
     seeds: dict[str, np.ndarray] = {}
     for predicate in properties:
@@ -334,8 +385,8 @@ def _tabulate_encoded(
         column_specs[name] = ("distinct", cells, inverse)
         seeds[name] = inverse
 
-    if has_any_label and labels[0] is None:
-        column_specs["label"] = ("values", labels)
+    if has_any_label and first_label is None:
+        column_specs["label"] = label_spec
 
     roles = {"subject": ColumnRole.IDENTIFIER} if include_subject else {}
     columns = []

@@ -142,6 +142,17 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
+def trusted_iri(value: str) -> IRI:
+    """Construct an :class:`IRI` without re-running its validation regex.
+
+    Only for values already known to be valid: IRIs read back from a store
+    file, or IRIs extending a namespace prefix that was validated once.
+    """
+    iri = object.__new__(IRI)
+    object.__setattr__(iri, "value", value)
+    return iri
+
+
 def coerce_object(value: Any) -> Object:
     """Convert a Python value to an RDF object term.
 

@@ -1,17 +1,23 @@
-"""Indexed in-memory triple store with a lazily interned columnar tier.
+"""Indexed triple store whose primary representation is interned id columns.
 
-The store maintains three hash indexes (SPO, POS, OSP) so that any triple
-pattern with at least one bound position is answered without a full scan.
-This is the storage layer underneath :class:`repro.lod.graph.Graph`.
-
-On top of the dict indexes — which remain the reference tier — the store can
-materialise a :class:`ColumnarTriples` snapshot: every distinct RDF term is
+A :class:`TripleStore` answers any triple pattern through three nested
+insertion-ordered dict indexes (SPO, POS, OSP) — the reference tier — and
+through a :class:`ColumnarTriples` snapshot: every distinct RDF term is
 interned into an ``int64`` id and the triples become three parallel id
-arrays, laid out in the exact iteration order of each dict index.  The
-vectorized query join (:mod:`repro.lod.query`) and the direct-to-encoded
-tabulation (:mod:`repro.lod.tabulate`) run over these arrays.  The snapshot
-is built lazily on first use and invalidated whenever a mutation actually
-changes the store, so reads between mutations share one build.
+arrays per index ordering.  The vectorized query join
+(:mod:`repro.lod.query`), the direct-to-encoded tabulation
+(:mod:`repro.lod.tabulate`) and the on-disk store (:mod:`repro.store`) run
+over these arrays.
+
+A store can be born either way.  Adding triples one at a time fills the
+dict indexes, and the snapshot is interned from them lazily on first use
+and dropped on every mutation.  A store born from arrays — the columnar
+publishers (:mod:`repro.lod.columnar`) and ``Graph.open`` — starts with the
+snapshot only; each dict index is replayed from its own saved ordering the
+first time a reference-tier scan needs it, and all three are replayed
+before the first mutation.  Either way every ordering is the exact
+iteration order of the dict index it mirrors, so both tiers answer every
+query bit-identically.
 """
 
 from __future__ import annotations
@@ -42,19 +48,22 @@ class ColumnarTriples:
     ranges are resolved with one :func:`numpy.searchsorted` over the block
     table instead of per-binding dict lookups.
 
-    The SPO ordering (which also interns the terms) is built eagerly; the
-    POS and OSP orderings are materialised on first use, so consumers that
-    only scan in SPO order (tabulation, full scans) never pay for them.
-    The owning store drops its cached snapshot on every mutation, so code
-    that re-fetches ``store.columnar()`` per operation (as the query engine
-    and tabulation do) always sees fresh data; a snapshot *held across* a
-    mutation is stale, and materialising one of its remaining orderings
-    then raises :class:`~repro.exceptions.LODError` rather than silently
-    mixing the frozen term table with the mutated dict indexes.  Callers
-    must not modify the returned arrays.
+    A snapshot interned from a store's dict indexes builds the SPO ordering
+    (which also interns the terms) eagerly and the POS and OSP orderings on
+    first use, so consumers that only scan in SPO order never pay for them.
+    A snapshot born from arrays (:meth:`from_arrays`) holds all three
+    orderings up front, and its term table may be decoded lazily from a
+    ``term_source`` (see :mod:`repro.store.reader`).  The owning store drops
+    its cached snapshot on every mutation, so code that re-fetches
+    ``store.columnar()`` per operation (as the query engine and tabulation
+    do) always sees fresh data; a snapshot *held across* a mutation is
+    stale, and materialising one of its remaining orderings then raises
+    :class:`~repro.exceptions.LODError` rather than silently mixing the
+    frozen term table with the mutated dict indexes.  Callers must not
+    modify the returned arrays.
     """
 
-    __slots__ = ("terms", "term_ids", "_store", "_orders", "_blocks")
+    __slots__ = ("_terms", "_term_ids", "_term_source", "_store", "_orders", "_blocks")
 
     #: Which of the three id columns is the contiguous primary key per ordering.
     _PRIMARY = {"spo": 0, "pos": 1, "osp": 2}
@@ -75,11 +84,61 @@ class ColumnarTriples:
                 o_col += o_codes
         spo = tuple(np.asarray(col, dtype=np.int64) for col in (s_col, p_col, o_col))
 
-        self.terms = list(term_ids)
-        self.term_ids = term_ids
+        self._terms = list(term_ids)
+        self._term_ids = term_ids
+        self._term_source = None
         self._store = store
         self._orders: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {"spo": spo}
         self._blocks: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def from_arrays(
+        cls,
+        store: "TripleStore",
+        orders: dict,
+        terms: list | None = None,
+        term_source=None,
+        blocks: dict | None = None,
+    ) -> "ColumnarTriples":
+        """A snapshot wired from ready-made arrays, with no interning pass.
+
+        ``orders`` must hold all three orderings.  Pass either the decoded
+        ``terms`` or a ``term_source`` whose ``decode()`` returns them on
+        first use (``n_terms`` and ``sections()`` let the store writer skip
+        decoding altogether); ``blocks`` optionally pre-seeds block tables.
+        """
+        snapshot = cls.__new__(cls)
+        snapshot._terms = terms
+        snapshot._term_ids = None
+        snapshot._term_source = term_source
+        snapshot._store = store
+        snapshot._orders = dict(orders)
+        snapshot._blocks = dict(blocks or {})
+        return snapshot
+
+    @property
+    def terms(self) -> list:
+        """Every distinct term, indexed by id (decoded on first use)."""
+        if self._terms is None:
+            self._terms = self._term_source.decode()
+        return self._terms
+
+    @property
+    def term_ids(self) -> dict:
+        """The inverse of :attr:`terms`: term → id (built on first use)."""
+        if self._term_ids is None:
+            term_ids: dict = {}
+            for i, term in enumerate(self.terms):
+                term_ids.setdefault(term, i)
+            self._term_ids = term_ids
+        return self._term_ids
+
+    @property
+    def n_terms(self) -> int:
+        """Number of distinct terms, without decoding a lazy term table."""
+        if self._terms is None:
+            return self._term_source.n_terms
+        return len(self._terms)
 
     @property
     def n_triples(self) -> int:
@@ -145,6 +204,7 @@ class ColumnarTriples:
         """
         term_ids = self.term_ids
         terms = self.terms
+        self._term_source = None  # the saved term table no longer matches
 
         def intern(term) -> int:
             code = term_ids.get(term)
@@ -197,7 +257,7 @@ class ColumnarTriples:
         """``(keys, starts, ends)`` of the primary-key runs, sorted by key id."""
         cached = self._blocks.get(index)
         if cached is None:
-            primary = self._orders[index][self._PRIMARY[index]]
+            primary = self.order(index)[self._PRIMARY[index]]
             if primary.size == 0:
                 empty = np.empty(0, dtype=np.int64)
                 cached = (empty, empty, empty)
@@ -226,6 +286,31 @@ class ColumnarTriples:
         found = keys[found_at] == key_ids
         return np.where(found, starts[found_at], 0), np.where(found, ends[found_at], 0)
 
+    def block(self, index: str, key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``index``-ordered ``(s, p, o)`` rows whose primary term is ``key``."""
+        lo, hi = self.block_ranges(index, np.asarray([self.term_id(key)], dtype=np.int64))
+        lo, hi = int(lo[0]), int(hi[0])
+        return tuple(column[lo:hi] for column in self.order(index))
+
+    def first_object_ids(self, subject_ids: np.ndarray, predicate) -> np.ndarray:
+        """Per subject id, the id of its first ``predicate`` object in SPO order (``-1`` if none).
+
+        Vectorized :meth:`TripleStore.value` over many subjects: the SPO rows
+        of one (subject, predicate) pair are contiguous and in dict order, so
+        the first row per subject is the object ``value()`` returns.
+        """
+        subject_ids = np.asarray(subject_ids, dtype=np.int64)
+        result = np.full(subject_ids.shape, -1, dtype=np.int64)
+        s_arr, p_arr, o_arr = self.order("spo")
+        selected = np.flatnonzero(p_arr == self.term_id(predicate))
+        if selected.size == 0 or subject_ids.size == 0:
+            return result
+        present, first_at = np.unique(s_arr[selected], return_index=True)
+        where = np.minimum(np.searchsorted(present, subject_ids), present.size - 1)
+        found = present[where] == subject_ids
+        result[found] = o_arr[selected[first_at[where[found]]]]
+        return result
+
 
 class TripleStore:
     """A set of triples with SPO / POS / OSP indexes.
@@ -234,21 +319,87 @@ class TripleStore:
     Every level of the three indexes is an insertion-ordered dict (the leaves
     are ``dict[X, None]``), so iteration order — and therefore the row order
     of every reference-tier scan and of the columnar snapshot built from it —
-    is a deterministic function of the store's mutation history.  That
-    determinism is what lets the on-disk store (:mod:`repro.store`) replay a
-    saved snapshot's arrays back into identical dict indexes on reopen.
+    is a deterministic function of the store's mutation history.
+
+    A store born from arrays (:meth:`from_columnar`) starts with no dict
+    index built.  Each one is replayed, independently, from its own saved
+    ordering on first access.  Replaying per index matters: the three
+    indexes first see keys in different orders during live mutation, so
+    rebuilding all three from the SPO arrays would change POS/OSP iteration
+    order.  Single-pattern lookups that the columnar tier can answer from
+    the arrays (:meth:`subjects` with both positions bound, :meth:`value`,
+    :meth:`predicate_in_use`) do so while their index is unbuilt, and
+    mutations replay all three indexes first.
     """
 
     def __init__(self, triples: Iterable[Triple] | None = None) -> None:
         """Create a store, optionally filled from an iterable of triples."""
-        self._spo: dict[Subject, dict[Predicate, dict[Object, None]]] = {}
-        self._pos: dict[Predicate, dict[Object, dict[Subject, None]]] = {}
-        self._osp: dict[Object, dict[Subject, dict[Predicate, None]]] = {}
+        self._spo_index: dict[Subject, dict[Predicate, dict[Object, None]]] | None = {}
+        self._pos_index: dict[Predicate, dict[Object, dict[Subject, None]]] | None = {}
+        self._osp_index: dict[Object, dict[Subject, dict[Predicate, None]]] | None = {}
         self._size = 0
         self._columnar: ColumnarTriples | None = None
+        #: The snapshot a store born from arrays replays its dict indexes
+        #: from; dropped by the first mutation, which builds all three.
+        self._born: ColumnarTriples | None = None
         if triples:
             for triple in triples:
                 self.add(triple)
+
+    @classmethod
+    def from_columnar(
+        cls, orders: dict, terms: list | None = None, term_source=None, blocks: dict | None = None
+    ) -> "TripleStore":
+        """A store born from arrays (see :meth:`ColumnarTriples.from_arrays`).
+
+        ``orders`` must hold all three orderings; the dict indexes are
+        replayed from them lazily.
+        """
+        store = cls.__new__(cls)
+        store._spo_index = store._pos_index = store._osp_index = None
+        store._born = ColumnarTriples.from_arrays(store, orders, terms, term_source, blocks)
+        store._columnar = store._born
+        store._size = store._born.n_triples
+        return store
+
+    # -- lazily replayed dict indexes ------------------------------------------
+
+    @property
+    def _spo(self) -> dict:
+        """The SPO dict index (replayed from the SPO arrays on first use)."""
+        if self._spo_index is None:
+            self._spo_index = self._replay("spo")
+        return self._spo_index
+
+    @property
+    def _pos(self) -> dict:
+        """The POS dict index (replayed from the POS arrays on first use)."""
+        if self._pos_index is None:
+            self._pos_index = self._replay("pos")
+        return self._pos_index
+
+    @property
+    def _osp(self) -> dict:
+        """The OSP dict index (replayed from the OSP arrays on first use)."""
+        if self._osp_index is None:
+            self._osp_index = self._replay("osp")
+        return self._osp_index
+
+    def _replay(self, index: str) -> dict:
+        """Insert the born snapshot's ``index`` rows into fresh nested dicts, in order."""
+        snapshot = self._born
+        terms = snapshot.terms
+        s_ids, p_ids, o_ids = snapshot.order(index)
+        if index == "spo":
+            first, second, third = s_ids, p_ids, o_ids
+        elif index == "pos":
+            first, second, third = p_ids, o_ids, s_ids
+        else:
+            first, second, third = o_ids, s_ids, p_ids
+        nested: dict = {}
+        for a, b, c in zip(first.tolist(), second.tolist(), third.tolist()):
+            nested.setdefault(terms[a], {}).setdefault(terms[b], {})[terms[c]] = None
+        return nested
 
     # -- mutation ------------------------------------------------------------
 
@@ -264,32 +415,33 @@ class TripleStore:
         self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
         self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
         self._size += 1
-        self._columnar = None
+        self._columnar = self._born = None
         return True
 
     def discard(self, triple: Triple) -> bool:
         """Remove a triple if present; return ``True`` when something was removed."""
         s, p, o = triple.as_tuple()
-        bucket = self._spo.get(s, {}).get(p)
+        spo, pos, osp = self._spo, self._pos, self._osp
+        bucket = spo.get(s, {}).get(p)
         if not bucket or o not in bucket:
             return False
         del bucket[o]
         if not bucket:
-            del self._spo[s][p]
-            if not self._spo[s]:
-                del self._spo[s]
-        del self._pos[p][o][s]
-        if not self._pos[p][o]:
-            del self._pos[p][o]
-            if not self._pos[p]:
-                del self._pos[p]
-        del self._osp[o][s][p]
-        if not self._osp[o][s]:
-            del self._osp[o][s]
-            if not self._osp[o]:
-                del self._osp[o]
+            del spo[s][p]
+            if not spo[s]:
+                del spo[s]
+        del pos[p][o][s]
+        if not pos[p][o]:
+            del pos[p][o]
+            if not pos[p]:
+                del pos[p]
+        del osp[o][s][p]
+        if not osp[o][s]:
+            del osp[o][s]
+            if not osp[o]:
+                del osp[o]
         self._size -= 1
-        self._columnar = None
+        self._columnar = self._born = None
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -317,6 +469,8 @@ class TripleStore:
         for triple in triples:
             if not isinstance(triple, Triple):
                 raise LODError("TripleStore.append expects Triples")
+        if not triples:
+            return 0
         snapshot = self._columnar
         if (
             _force_rebuild
@@ -385,6 +539,13 @@ class TripleStore:
     def subjects(self, predicate: Predicate | None = None, object: Object | None = None) -> list[Subject]:
         """Distinct subjects of triples matching the (predicate, object) pattern."""
         if predicate is not None and object is not None:
+            if self._pos_index is None:
+                # Born from arrays: the POS block of ``predicate`` lists the
+                # bucket's subjects contiguously, in dict order.
+                snapshot = self._born
+                s_ids, _, o_ids = snapshot.block("pos", predicate)
+                terms = snapshot.terms
+                return [terms[i] for i in s_ids[o_ids == snapshot.term_id(object)].tolist()]
             # Fast path: the POS bucket lists exactly these subjects, in the
             # same insertion order the match() scan would visit them.
             return list(self._pos.get(predicate, {}).get(object, ()))
@@ -417,12 +578,19 @@ class TripleStore:
 
     def value(self, subject: Subject, predicate: Predicate, default=None):
         """Return one object for (subject, predicate), or ``default`` when absent."""
+        if self._spo_index is None:
+            snapshot = self._born
+            _, p_ids, o_ids = snapshot.block("spo", subject)
+            hits = np.flatnonzero(p_ids == snapshot.term_id(predicate))
+            return snapshot.terms[int(o_ids[hits[0]])] if hits.size else default
         for obj in self._spo.get(subject, {}).get(predicate, ()):
             return obj
         return default
 
     def predicate_in_use(self, predicate: Predicate) -> bool:
-        """Whether any triple uses ``predicate`` (one dict probe, no scan)."""
+        """Whether any triple uses ``predicate`` (one dict probe or block lookup, no scan)."""
+        if self._pos_index is None:
+            return self._born.block("pos", predicate)[0].size > 0
         return predicate in self._pos
 
     def columnar(self) -> ColumnarTriples:

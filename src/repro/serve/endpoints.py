@@ -151,7 +151,9 @@ def _build_cube(dataset: Dataset, params: dict[str, Any]) -> Cube:
             dimensions.append(Dimension(spec, (spec,)))
         elif isinstance(spec, dict) and "name" in spec:
             levels = spec.get("levels") or [spec["name"]]
-            dimensions.append(Dimension(str(spec["name"]), tuple(str(level) for level in levels)))
+            if not isinstance(levels, list) or not all(isinstance(level, str) for level in levels):
+                raise ServeError("a dimension's 'levels' must be a list of column names")
+            dimensions.append(Dimension(str(spec["name"]), tuple(levels)))
         else:
             raise ServeError("each dimension must be a column name or a {name, levels} object")
     raw_measures = _expect(
@@ -173,6 +175,17 @@ def _build_cube(dataset: Dataset, params: dict[str, Any]) -> Cube:
     return Cube(dataset, dimensions=dimensions, measures=measures)
 
 
+def _kpi_number(spec: dict[str, Any], key: str, default: float | None = None) -> float:
+    """A numeric KPI field: a JSON number or a numeric string, never a bool."""
+    value = spec.get(key, default)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ServeError(f"KPI {key!r} must be a number, got {value!r}")
+
+
 def _parse_kpis(params: dict[str, Any]) -> list[KPI]:
     """The ``kpis`` parameter as KPI definitions."""
     raw = _expect(
@@ -186,9 +199,9 @@ def _parse_kpis(params: dict[str, Any]) -> list[KPI]:
             KPI(
                 name=str(spec["name"]),
                 compute=str(spec["column"]),
-                target=float(spec["target"]),
+                target=_kpi_number(spec, "target"),
                 higher_is_better=bool(spec.get("higher_is_better", True)),
-                tolerance=float(spec.get("tolerance", 0.1)),
+                tolerance=_kpi_number(spec, "tolerance", 0.1),
                 description=str(spec.get("description", "")),
             )
         )

@@ -37,6 +37,7 @@ parameters are merged in as strings (convenient for ``curl`` and for the
 from __future__ import annotations
 
 import json
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
@@ -103,6 +104,9 @@ class ReproApp:
             return self._error(status, str(exc))
         except ReproError as exc:
             return self._error(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 - last resort: never drop the connection
+            traceback.print_exc()
+            return self._error(500, f"internal error while serving {path}: {type(exc).__name__}: {exc}")
 
     # -- query endpoints -----------------------------------------------------
 

@@ -24,7 +24,6 @@ The byte-level layout is a normative, versioned contract — see
 from repro.store.format import FORMAT_VERSION, MAGIC, StoreFile
 from repro.store.reader import (
     StoredColumn,
-    StoredTripleStore,
     inspect_store,
     open_dataset,
     open_graph,
@@ -36,7 +35,6 @@ __all__ = [
     "MAGIC",
     "StoreFile",
     "StoredColumn",
-    "StoredTripleStore",
     "inspect_store",
     "open_dataset",
     "open_graph",

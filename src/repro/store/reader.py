@@ -12,10 +12,12 @@ Two store-backed lazy types bridge the gap to the object tiers:
 * :class:`StoredColumn` — a :class:`~repro.tabular.dataset.Column` whose
   Python object cells are materialised from the code array and level table
   only when something actually asks for them;
-* :class:`StoredTripleStore` — a :class:`~repro.lod.triples.TripleStore`
-  whose three dict indexes are replayed from the saved order arrays on
-  first access, so reference-tier scans see the exact iteration order the
-  live store had at save time.
+* :class:`StoredTerms` — the saved term table of a graph, decoded into RDF
+  term objects only when something asks for a term; the reopened
+  :class:`~repro.lod.triples.TripleStore` is born from the saved order
+  arrays and replays each dict index from them on first access, so
+  reference-tier scans see the exact iteration order the live store had at
+  save time.
 
 ``force_memory=True`` is the escape hatch back to the in-memory tier: every
 array is copied out of the map (the two tiers must be bit-identical, which
@@ -30,8 +32,8 @@ import numpy as np
 
 from repro.exceptions import StoreError
 from repro.lod.graph import Graph
-from repro.lod.terms import BNode, IRI, Literal
-from repro.lod.triples import ColumnarTriples, TripleStore
+from repro.lod.terms import BNode, Literal, trusted_iri
+from repro.lod.triples import TripleStore
 from repro.store.format import KIND_DATASET, KIND_GRAPH, KIND_NAMES, StoreFile
 from repro.store.writer import (
     TERM_BNODE,
@@ -108,88 +110,6 @@ class StoredColumn(Column):
         )
 
 
-class StoredTripleStore(TripleStore):
-    """A triple store whose dict indexes replay from saved order arrays.
-
-    ``TripleStore`` keeps its three indexes as insertion-ordered nested
-    dicts; this subclass starts with none of them built and replays each —
-    independently, from its own saved ``(s, p, o)`` id arrays — on first
-    access.  Replaying per index matters: the three indexes first see keys
-    in different orders during live mutation, so rebuilding all three from
-    the SPO arrays would change POS/OSP iteration order and break
-    bit-identicality of reference-tier scans.
-
-    Mutations force all three indexes to materialise first (a partially
-    replayed store must not later replay an index from arrays that no
-    longer reflect the dicts), then delegate to the plain implementation.
-    """
-
-    def __init__(self, terms: list, orders: dict, n_triples: int) -> None:
-        """Wrap the decoded term table and the saved per-index id arrays."""
-        self._terms = terms
-        self._saved_orders = orders
-        self._spo_index: dict | None = None
-        self._pos_index: dict | None = None
-        self._osp_index: dict | None = None
-        self._size = n_triples
-        self._columnar = None
-
-    @property
-    def _spo(self) -> dict:
-        """The SPO dict index, replayed from the saved SPO arrays on first use."""
-        if self._spo_index is None:
-            self._spo_index = self._replay("spo")
-        return self._spo_index
-
-    @property
-    def _pos(self) -> dict:
-        """The POS dict index, replayed from the saved POS arrays on first use."""
-        if self._pos_index is None:
-            self._pos_index = self._replay("pos")
-        return self._pos_index
-
-    @property
-    def _osp(self) -> dict:
-        """The OSP dict index, replayed from the saved OSP arrays on first use."""
-        if self._osp_index is None:
-            self._osp_index = self._replay("osp")
-        return self._osp_index
-
-    def _replay(self, index: str) -> dict:
-        """Insert the saved ``index`` rows into fresh nested dicts, in order."""
-        terms = self._terms
-        s_ids, p_ids, o_ids = self._saved_orders[index]
-        if index == "spo":
-            first, second, third = s_ids, p_ids, o_ids
-        elif index == "pos":
-            first, second, third = p_ids, o_ids, s_ids
-        else:
-            first, second, third = o_ids, s_ids, p_ids
-        nested: dict = {}
-        for a, b, c in zip(first.tolist(), second.tolist(), third.tolist()):
-            nested.setdefault(terms[a], {}).setdefault(terms[b], {})[terms[c]] = None
-        return nested
-
-    def _materialize(self) -> None:
-        """Force all three dict indexes before the first mutation."""
-        if self._spo_index is None:
-            self._spo_index = self._replay("spo")
-        if self._pos_index is None:
-            self._pos_index = self._replay("pos")
-        if self._osp_index is None:
-            self._osp_index = self._replay("osp")
-
-    def add(self, triple) -> bool:
-        """Add a triple (materialising the dict indexes first)."""
-        self._materialize()
-        return super().add(triple)
-
-    def discard(self, triple) -> bool:
-        """Remove a triple (materialising the dict indexes first)."""
-        self._materialize()
-        return super().discard(triple)
-
-
 def _open_store(path: Path | str, expected_kind: int) -> StoreFile:
     """Open ``path`` and check its payload kind."""
     store_file = StoreFile(path)
@@ -261,6 +181,45 @@ def open_dataset(path: Path | str, force_memory: bool = False, verify: bool = Fa
     return dataset
 
 
+#: The sections of a graph's term table, in the order the writer emits them.
+TERM_SECTIONS = ("term.knd", "term.txt", "term.vtg", "term.dty", "term.lng", "dty.tab", "lng.tab")
+
+
+class StoredTerms:
+    """A graph's saved term table, decoded into RDF terms on first use.
+
+    Opening a graph only CRC-checks the term sections (metadata sections are
+    always checked on access); the per-term Python of :func:`_decode_terms`
+    runs the first time a term is actually needed, so ``Graph.open``
+    followed by ``len()``, an array-only query or a re-save does none.
+    ``sections()`` hands the writer the saved payloads verbatim, which is
+    what re-encoding the decoded terms would produce byte for byte.
+    """
+
+    __slots__ = ("_store_file", "n_terms")
+
+    def __init__(self, store_file: StoreFile) -> None:
+        """Check the term sections' checksums and remember where they live."""
+        for name in ("term.txt", "dty.tab", "lng.tab"):
+            store_file._payload(name, check_crc=True)
+        self._store_file = store_file
+        self.n_terms = int(store_file.section("term.knd").count)
+
+    def decode(self) -> list:
+        """The decoded term list (see :func:`_decode_terms`)."""
+        return _decode_terms(self._store_file)
+
+    def sections(self) -> list[tuple[str, int, int, int, bytes, int]]:
+        """The seven term-table section tuples, copied from the file as saved."""
+        store_file = self._store_file
+        result = []
+        for name in TERM_SECTIONS:
+            section = store_file.section(name)
+            payload = bytes(store_file._payload(name, check_crc=False))
+            result.append((name, section.kind, section.dtype, section.flags, payload, section.count))
+        return result
+
+
 def _decode_terms(store_file: StoreFile) -> list:
     """Decode the interned term table back into RDF term objects.
 
@@ -273,14 +232,14 @@ def _decode_terms(store_file: StoreFile) -> list:
     vtags = store_file.array("term.vtg")
     datatype_ids = store_file.array("term.dty")
     language_ids = store_file.array("term.lng")
-    datatypes = [_new_iri(value) for value in store_file.strings("dty.tab")]
+    datatypes = [trusted_iri(value) for value in store_file.strings("dty.tab")]
     languages = store_file.strings("lng.tab")
     terms: list = []
     for kind, text, vtag, datatype_id, language_id in zip(
         kinds.tolist(), texts, vtags.tolist(), datatype_ids.tolist(), language_ids.tolist()
     ):
         if kind == TERM_IRI:
-            terms.append(_new_iri(text))
+            terms.append(trusted_iri(text))
         elif kind == TERM_BNODE:
             term = object.__new__(BNode)
             object.__setattr__(term, "identifier", text)
@@ -306,29 +265,20 @@ def _decode_terms(store_file: StoreFile) -> list:
     return terms
 
 
-def _new_iri(value: str) -> IRI:
-    """Construct an :class:`IRI` without re-running its validation regex."""
-    iri = object.__new__(IRI)
-    object.__setattr__(iri, "value", value)
-    return iri
-
-
 def open_graph(path: Path | str, force_memory: bool = False, verify: bool = False) -> Graph:
     """Open a graph store file; see :meth:`repro.lod.graph.Graph.open`.
 
-    The columnar snapshot is rebuilt directly from the mapped id arrays and
-    block tables (no interning pass), and the dict indexes stay unbuilt
-    until a reference-tier scan or a mutation needs them — so the vectorized
-    query path runs on a just-opened multi-million-triple graph without any
+    The columnar snapshot is wired directly from the mapped id arrays and
+    block tables (no interning pass), the term table is decoded on first use
+    (:class:`StoredTerms`), and the dict indexes stay unbuilt until a
+    reference-tier scan or a mutation needs them — so opening, counting and
+    re-saving a multi-million-triple graph run without any per-term or
     per-triple Python.
     """
     store_file = _open_store(path, KIND_GRAPH)
     meta = store_file.json("meta")
     load = _loader(force_memory)
-    terms = _decode_terms(store_file)
-    term_ids: dict = {}
-    for i, term in enumerate(terms):
-        term_ids.setdefault(term, i)
+    terms = StoredTerms(store_file)
     orders = {
         index: tuple(load(store_file.array(f"{index}.{position}")) for position in "spo")
         for index in ("spo", "pos", "osp")
@@ -337,14 +287,9 @@ def open_graph(path: Path | str, force_memory: bool = False, verify: bool = Fals
         index: tuple(load(store_file.array(f"{index}.{suffix}")) for suffix in ("bk", "bs", "be"))
         for index in ("spo", "pos", "osp")
     }
-    store = StoredTripleStore(terms, orders, int(meta["n_triples"]))
-    snapshot = ColumnarTriples.__new__(ColumnarTriples)
-    snapshot.terms = terms
-    snapshot.term_ids = term_ids
-    snapshot._store = store
-    snapshot._orders = orders
-    snapshot._blocks = blocks
-    store._columnar = snapshot
+    store = TripleStore.from_columnar(orders, term_source=terms, blocks=blocks)
+    if force_memory:
+        store.columnar().terms  # the memory tier decodes everything up front
     graph = Graph(meta["identifier"])
     graph.store = store
     for prefix, namespace in meta["prefixes"].items():

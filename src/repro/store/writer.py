@@ -175,22 +175,27 @@ def _encode_terms(terms: list) -> tuple[list[tuple], list[str], list[str]]:
 def save_graph(graph: Graph, path: Path | str) -> Path:
     """Write ``graph`` and its columnar snapshot to a store file at ``path``.
 
-    The snapshot's three orderings and block tables are forced before
-    writing, so the file captures the exact row orders of the live store's
-    dict indexes; reopening replays those arrays into identical dict
-    indexes, keeping the reference tier (and therefore every query result
-    order) bit-identical across the save/open boundary.  The POS/OSP
+    The snapshot's three orderings and block tables are written as they
+    are (a snapshot born from arrays already holds them; one interned from
+    dict indexes builds them here), so the file captures the exact row
+    orders of the live store's dict indexes; reopening replays those arrays
+    into identical dict indexes, keeping the reference tier (and therefore
+    every query result order) bit-identical across the save/open boundary.  The POS/OSP
     orderings and all block tables are flagged derived: the salvage tier can
     rebuild a working store from the SPO arrays alone.
     """
     columnar = graph.store.columnar()
     sections: list[tuple[str, int, int, int, bytes, int]] = []
-    term_sections, datatype_table, language_table = _encode_terms(columnar.terms)
-    sections += term_sections
-    sections += [
-        ("dty.tab", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(datatype_table), len(datatype_table)),
-        ("lng.tab", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(language_table), len(language_table)),
-    ]
+    if columnar._term_source is not None:
+        # A term table read from a store file is written back verbatim.
+        sections += columnar._term_source.sections()
+    else:
+        term_sections, datatype_table, language_table = _encode_terms(columnar.terms)
+        sections += term_sections
+        sections += [
+            ("dty.tab", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(datatype_table), len(datatype_table)),
+            ("lng.tab", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(language_table), len(language_table)),
+        ]
     for index in ("spo", "pos", "osp"):
         order = columnar.order(index)
         flags = 0 if index == "spo" else FLAG_DERIVED
@@ -208,7 +213,7 @@ def save_graph(graph: Graph, path: Path | str) -> Path:
         "identifier": graph.identifier,
         "prefixes": {prefix: namespace.prefix for prefix, namespace in graph.prefixes.items()},
         "n_triples": columnar.n_triples,
-        "n_terms": len(columnar.terms),
+        "n_terms": columnar.n_terms,
         "bnode_counter": graph._bnode_counter,
     }
     sections.insert(0, _json_section(meta))

@@ -306,10 +306,9 @@ class Column:
             raise SchemaError(f"unknown column role {role!r}")
         inverse = np.asarray(inverse, dtype=np.intp)
         counts = np.bincount(inverse, minlength=len(distinct_values))
-        present = [value for value in distinct_values if not is_missing_value(value)]
-        n_present = int(
-            sum(int(counts[i]) for i, value in enumerate(distinct_values) if not is_missing_value(value))
-        )
+        is_present = np.asarray([not is_missing_value(value) for value in distinct_values], dtype=bool)
+        present = [value for value, keep in zip(distinct_values, is_present.tolist()) if keep]
+        n_present = int(counts[: len(distinct_values)][is_present].sum())
         ctype = _infer_from_present(present, n_present)
         coerced = [_coerce_value(value, ctype) for value in distinct_values]
         column = cls.__new__(cls)

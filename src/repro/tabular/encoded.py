@@ -208,6 +208,29 @@ class EncodedDataset:
         if name not in self._normalised:
             self._normalised[name] = list(levels)
 
+    def adopt(self, source: "EncodedDataset") -> None:
+        """Carry over ``source``'s cached views of the columns both datasets share.
+
+        A column is shared when both datasets hold the very same
+        :class:`~repro.tabular.dataset.Column` object (``add_column`` and
+        the other schema operations reuse column objects), so its views are
+        identical by construction; views already cached here win.  Used
+        when a derived dataset should not re-encode what its source already
+        encoded — for example a memory-mapped store's seeded views.
+        """
+        source_columns = source.dataset._columns
+        for name, column in self.dataset._columns.items():
+            if source_columns.get(name) is not column:
+                continue
+            for mine, theirs in (
+                (self._numeric, source._numeric),
+                (self._categorical, source._categorical),
+                (self._normalised, source._normalised),
+                (self._group_codes, source._group_codes),
+            ):
+                if name in theirs and name not in mine:
+                    mine[name] = theirs[name]
+
     # -- shared derived views -------------------------------------------------
 
     def missing_view(self, name: str) -> np.ndarray:

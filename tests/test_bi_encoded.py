@@ -502,3 +502,34 @@ def test_take_slices_group_codes_consistently(sales):
         b_ids, b_n = fresh.group_keys(keys)
         assert a_n == b_n
         assert np.array_equal(a_ids, b_ids)
+
+
+def test_grand_total_on_reopened_store_reencodes_nothing(tmp_path, monkeypatch):
+    from repro.datasets import service_requests
+    from repro.tabular.encoded import EncodedDataset
+
+    path = service_requests(n_rows=400, dirty=True, seed=5).save(tmp_path / "requests.rps")
+    dimensions = [Dimension("topic", ("topic",))]
+    measures = [
+        Measure("avg_days", "resolution_days", "mean"),
+        Measure("n_days", "resolution_days", "count"),
+    ]
+    fast_source, forced_source = Dataset.open(path), Dataset.open(path)
+    try:
+        forced = Cube(forced_source, dimensions, measures)
+        forced._force_row_olap = True
+        expected = forced.aggregate()
+        encoded_columns = []
+        original = EncodedDataset._encode_categorical
+        monkeypatch.setattr(
+            EncodedDataset,
+            "_encode_categorical",
+            lambda self, name: encoded_columns.append(name) or original(self, name),
+        )
+        result = Cube(fast_source, dimensions, measures).aggregate()
+        assert encoded_columns == []
+        _assert_identical_datasets(result, expected)
+        assert result.n_rows == 1
+    finally:
+        fast_source.close()
+        forced_source.close()
