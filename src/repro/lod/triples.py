@@ -326,10 +326,9 @@ class TripleStore:
     ordering on first access.  Replaying per index matters: the three
     indexes first see keys in different orders during live mutation, so
     rebuilding all three from the SPO arrays would change POS/OSP iteration
-    order.  Single-pattern lookups that the columnar tier can answer from
-    the arrays (:meth:`subjects` with both positions bound, :meth:`value`,
-    :meth:`predicate_in_use`) do so while their index is unbuilt, and
-    mutations replay all three indexes first.
+    order.  :meth:`value`, which columnar tabulation calls per column
+    label, reads the SPO arrays while that index is unbuilt; mutations
+    replay all three indexes first.
     """
 
     def __init__(self, triples: Iterable[Triple] | None = None) -> None:
@@ -539,13 +538,6 @@ class TripleStore:
     def subjects(self, predicate: Predicate | None = None, object: Object | None = None) -> list[Subject]:
         """Distinct subjects of triples matching the (predicate, object) pattern."""
         if predicate is not None and object is not None:
-            if self._pos_index is None:
-                # Born from arrays: the POS block of ``predicate`` lists the
-                # bucket's subjects contiguously, in dict order.
-                snapshot = self._born
-                s_ids, _, o_ids = snapshot.block("pos", predicate)
-                terms = snapshot.terms
-                return [terms[i] for i in s_ids[o_ids == snapshot.term_id(object)].tolist()]
             # Fast path: the POS bucket lists exactly these subjects, in the
             # same insertion order the match() scan would visit them.
             return list(self._pos.get(predicate, {}).get(object, ()))
@@ -588,9 +580,7 @@ class TripleStore:
         return default
 
     def predicate_in_use(self, predicate: Predicate) -> bool:
-        """Whether any triple uses ``predicate`` (one dict probe or block lookup, no scan)."""
-        if self._pos_index is None:
-            return self._born.block("pos", predicate)[0].size > 0
+        """Whether any triple uses ``predicate`` (one dict probe, no scan)."""
         return predicate in self._pos
 
     def columnar(self) -> ColumnarTriples:

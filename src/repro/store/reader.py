@@ -193,7 +193,9 @@ class StoredTerms:
     runs the first time a term is actually needed, so ``Graph.open``
     followed by ``len()``, an array-only query or a re-save does none.
     ``sections()`` hands the writer the saved payloads verbatim, which is
-    what re-encoding the decoded terms would produce byte for byte.
+    what re-encoding the decoded terms would produce byte for byte; it
+    checks them as decoding would first, so a re-save never stamps fresh
+    checksums on a damaged or malformed term table.
     """
 
     __slots__ = ("_store_file", "n_terms")
@@ -210,12 +212,21 @@ class StoredTerms:
         return _decode_terms(self._store_file)
 
     def sections(self) -> list[tuple[str, int, int, int, bytes, int]]:
-        """The seven term-table section tuples, copied from the file as saved."""
+        """The seven term-table section tuples, checked and copied from the file as saved."""
         store_file = self._store_file
+        kinds = store_file.array("term.knd", verify=True)
+        vtags = store_file.array("term.vtg", verify=True)
+        bad_kinds = ~np.isin(kinds, (TERM_IRI, TERM_BNODE, TERM_LITERAL))
+        if bad_kinds.any():
+            raise StoreError(f"store {store_file.path}: unknown term kind {int(kinds[bad_kinds][0])}")
+        literal_tags = vtags[kinds == TERM_LITERAL]
+        bad_tags = ~np.isin(literal_tags, (VTAG_STR, VTAG_INT, VTAG_FLOAT, VTAG_BOOL))
+        if bad_tags.any():
+            raise StoreError(f"store {store_file.path}: unknown literal value tag {int(literal_tags[bad_tags][0])}")
         result = []
         for name in TERM_SECTIONS:
             section = store_file.section(name)
-            payload = bytes(store_file._payload(name, check_crc=False))
+            payload = bytes(store_file._payload(name, check_crc=True))
             result.append((name, section.kind, section.dtype, section.flags, payload, section.count))
         return result
 
@@ -278,7 +289,7 @@ def open_graph(path: Path | str, force_memory: bool = False, verify: bool = Fals
     store_file = _open_store(path, KIND_GRAPH)
     meta = store_file.json("meta")
     load = _loader(force_memory)
-    terms = StoredTerms(store_file)
+    stored_terms = StoredTerms(store_file)
     orders = {
         index: tuple(load(store_file.array(f"{index}.{position}")) for position in "spo")
         for index in ("spo", "pos", "osp")
@@ -287,9 +298,11 @@ def open_graph(path: Path | str, force_memory: bool = False, verify: bool = Fals
         index: tuple(load(store_file.array(f"{index}.{suffix}")) for suffix in ("bk", "bs", "be"))
         for index in ("spo", "pos", "osp")
     }
-    store = TripleStore.from_columnar(orders, term_source=terms, blocks=blocks)
     if force_memory:
-        store.columnar().terms  # the memory tier decodes everything up front
+        # The memory tier decodes every term up front and keeps no tie to the map.
+        store = TripleStore.from_columnar(orders, terms=stored_terms.decode(), blocks=blocks)
+    else:
+        store = TripleStore.from_columnar(orders, term_source=stored_terms, blocks=blocks)
     graph = Graph(meta["identifier"])
     graph.store = store
     for prefix, namespace in meta["prefixes"].items():

@@ -27,6 +27,7 @@ from repro.store import (
     save_dataset,
     save_graph,
 )
+from repro.store.format import write_store
 
 
 def _dataset_store(tmp_path, n_rows=60):
@@ -119,6 +120,39 @@ def test_graph_array_damage_named_by_verify(tmp_path):
     with pytest.raises(StoreCorruptionError) as excinfo:
         open_graph(path, verify=True)
     assert excinfo.value.section == "pos.s"
+
+
+def test_resave_refuses_damaged_term_table(tmp_path):
+    _, path = _graph_store(tmp_path)
+    _corrupt_section(path, "term.knd", seed=1)
+    opened = open_graph(path)
+    try:
+        with pytest.raises(StoreCorruptionError) as excinfo:
+            save_graph(opened, tmp_path / "again.rps")
+        assert excinfo.value.section == "term.knd"
+    finally:
+        opened.close()
+
+
+def test_resave_refuses_unknown_term_kind(tmp_path):
+    # A checksum-valid term table with an unknown kind is rejected on re-save
+    # exactly as decoding would reject it, not copied under a fresh checksum.
+    _, path = _graph_store(tmp_path)
+    with StoreFile(path) as store_file:
+        sections = []
+        for name, section in store_file.sections.items():
+            payload = bytearray(store_file._payload(name, check_crc=True))
+            if name == "term.knd":
+                payload[0] = 9
+            sections.append((name, section.kind, section.dtype, section.flags, bytes(payload), section.count))
+        kind = store_file.kind
+    forged = write_store(tmp_path / "forged.rps", kind, sections)
+    opened = open_graph(forged)
+    try:
+        with pytest.raises(StoreError, match="unknown term kind 9"):
+            save_graph(opened, tmp_path / "again.rps")
+    finally:
+        opened.close()
 
 
 @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.9])

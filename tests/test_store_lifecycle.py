@@ -111,6 +111,13 @@ def test_graph_open_close_delete_cycle(graph_store):
     assert not graph_store.exists()
 
 
+def test_force_memory_graph_outlives_its_store_file(graph_store, tmp_path):
+    opened = Graph.open(graph_store, force_memory=True)
+    opened.close()
+    resaved = opened.save(tmp_path / "resaved.rps")
+    assert resaved.read_bytes() == graph_store.read_bytes()
+
+
 def test_graph_close_is_noop_in_memory():
     Graph("ephemeral").close()
 
